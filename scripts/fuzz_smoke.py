@@ -1,9 +1,10 @@
 """CI smoke: the differential fuzzing campaign must find nothing.
 
 Runs the committed seed corpus (``tests/fuzz/seeds.json``) plus a
-200-case sweep of consecutive seeds. Each case executes six ways —
+200-case sweep of consecutive seeds. Each case executes seven ways —
 reference interpreter, fused, and unfused compiled modules, under both
-the object-graph and forest-pool layouts — and diffs snapshot + final
+the object-graph and forest-pool layouts, plus the fused program run by
+the reference interpreter — and diffs snapshot + final
 globals + derived write-set against the interpreter/object baseline.
 
 Any divergence fails the job and prints the minimized replayable repro
@@ -45,7 +46,7 @@ def main() -> int:
     print(
         f"fuzz smoke: {len(corpus['seeds'])} corpus seeds + "
         f"{cases} sweep seeds from {start} "
-        f"({len(seeds)} unique cases, 6 executions each)"
+        f"({len(seeds)} unique cases, 7 executions each)"
     )
     began = time.time()
     failures = 0
@@ -76,7 +77,8 @@ def main() -> int:
         print("FAIL: executions diverged — commit the repro as a "
               "regression test alongside the fix")
         return 1
-    print("OK: interpreter, fused, and unfused agree under both layouts")
+    print("OK: interpreter (unfused and fused programs) and compiled "
+          "fused/unfused agree under both layouts")
     return 0
 
 

@@ -61,7 +61,7 @@ from repro.runtime.heap import Heap
 from repro.runtime.node import Node
 
 _PRELUDE = '''\
-from repro.runtime.interpreter import _cxx_div as _div, _cxx_mod as _mod
+from repro.runtime.values import _cxx_div as _div, _cxx_mod as _mod
 from repro.runtime.values import copy_value as _copy
 
 
@@ -677,9 +677,7 @@ def _emit_group_call(
             if not is_primitive(param.type_name):
                 value = f"_copy({value})"
             lines.append(f"        {local} = {value}")
-        if not slot_locals:
-            lines[-1] = lines[-1]  # keep structure; nothing to bind
-        else:
+        if slot_locals:
             lines.append("    else:")
             for local in slot_locals:
                 lines.append(f"        {local} = 0")

@@ -4,23 +4,27 @@ pooled.
 A :class:`FuzzCase` is a fully serialized experiment — seed, program
 source, tree (as a snapshot-style dict), and initial globals — so any
 failure replays byte-identically from a JSON file (``repro fuzz
---replay``). :func:`run_case` executes the case six ways:
+--replay``). :func:`run_case` executes the case seven ways:
 
-====================  ==========================================
-label                 executor
-====================  ==========================================
-``interp/object``     :class:`repro.interp.InterpretedModule` (baseline)
-``interp/pooled``     same, through a ``ForestPool`` view
-``unfused/object``    ``compile_program`` → generated Python
-``fused/object``      ``fuse_program`` + ``compile_fused``
-``unfused/pooled``    ``compile_pooled_program`` (SoA columns)
-``fused/pooled``      ``compile_pooled_fused``
-====================  ==========================================
+========================  ==========================================
+label                     executor
+========================  ==========================================
+``interp/object``         :class:`repro.interp.InterpretedModule` (baseline)
+``interp/pooled``         same, through a ``ForestPool`` view
+``interp-fused/object``   ``fuse_program`` run by the same interpreter
+``unfused/object``        ``compile_program`` → generated Python
+``fused/object``          ``fuse_program`` + ``compile_fused``
+``unfused/pooled``        ``compile_pooled_program`` (SoA columns)
+``fused/pooled``          ``compile_pooled_fused``
+========================  ==========================================
 
 and diffs every execution against the interpreter/object baseline on
 snapshot + globals + write-set (:func:`repro.interp.diff_report`). The
 reference interpreter is the semantics; everything else is an
-optimization that must be observationally invisible.
+optimization that must be observationally invisible. The interp-fused
+execution tells the two kinds of failure apart: when it diverges, the
+fusion pass is unsound; when only a compiled fused form does, codegen
+is at fault.
 
 On divergence, :func:`minimize_case` shrinks the tree (subtree →
 ``Leaf``) and then the program (dropping body statements) while the
@@ -53,6 +57,7 @@ BASELINE = "interp/object"
 LABELS = (
     BASELINE,
     "interp/pooled",
+    "interp-fused/object",
     "unfused/object",
     "fused/object",
     "unfused/pooled",
@@ -137,32 +142,10 @@ def _execute(program, case: FuzzCase, label: str) -> ExecutionRecord:
     before = root.snapshot(program)
     globals_map = dict(case.globals_map)
     mode, layout = label.split("/")
-    if mode == "interp":
-        module = InterpretedModule(program, layout=layout)
-        context = module.run_entry(heap, root, globals_map)
-    elif mode == "unfused":
-        if layout == "object":
-            from repro.codegen import compile_program
-
-            module = compile_program(program)
-        else:
-            from repro.codegen.pooled_backend import compile_pooled_program
-
-            module = compile_pooled_program(program)
-        context = module.run_entry(heap, root, globals_map)
-    else:  # fused
-        from repro.fusion import fuse_program
-
-        fused = fuse_program(program)
-        if layout == "object":
-            from repro.codegen import compile_fused
-
-            module = compile_fused(fused)
-        else:
-            from repro.codegen.pooled_backend import compile_pooled_fused
-
-            module = compile_pooled_fused(fused)
-        context = module.run_fused(heap, root, globals_map)
+    module = _module_for(program, mode, layout)
+    fused = mode in ("interp-fused", "fused")
+    runner = module.run_fused if fused else module.run_entry
+    context = runner(heap, root, globals_map)
     return make_record(
         label,
         before,
@@ -170,6 +153,26 @@ def _execute(program, case: FuzzCase, label: str) -> ExecutionRecord:
         case.globals_map,
         context.globals,
     )
+
+
+def _module_for(program, mode: str, layout: str):
+    """The execution module *mode* (interp, interp-fused, unfused,
+    fused) builds for *layout*."""
+    if mode.startswith("interp"):
+        return InterpretedModule(program, layout=layout)
+    from repro.codegen import compile_fused, compile_program
+    from repro.codegen.pooled_backend import (
+        compile_pooled_fused,
+        compile_pooled_program,
+    )
+    from repro.fusion import fuse_program
+
+    pooled = layout == "pooled"
+    if mode == "unfused":
+        compile_unfused = compile_pooled_program if pooled else compile_program
+        return compile_unfused(program)
+    compile_fused_program = compile_pooled_fused if pooled else compile_fused
+    return compile_fused_program(fuse_program(program))
 
 
 def run_case(case: FuzzCase) -> CaseResult:

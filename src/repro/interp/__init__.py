@@ -1,14 +1,17 @@
-"""Reference IR interpreter: the executable specification.
+"""The IR evaluator: the executable specification, and the cost model.
 
 Nothing in this package compiles anything. A :class:`RefInterpreter`
 walks :mod:`repro.ir` programs directly — dynamic dispatch, truncation,
-topology mutation, globals, parameters, pure calls, entry schedules —
-against either tree layout (object graph or ``ForestPool`` columns, via
+topology mutation, globals, parameters, pure calls, entry schedules, and
+fused programs under the paper's active-flag semantics — against either
+tree layout (object graph or ``ForestPool`` columns, via
 :mod:`repro.interp.views`), producing the same snapshots, global
 states, and write-sets the compiled backends produce. The compiled
 fused/unfused modules are *measured against it* (:mod:`repro.fuzz`),
 and the service uses it as the zero-compile-latency fallback tier
-(``ExecRequest.mode == "interpret"``).
+(``ExecRequest.mode == "interpret"``). Run over a
+:class:`~repro.interp.meter.CostMeter` it is the paper's cost model
+(:class:`repro.runtime.Interpreter`).
 """
 
 from repro.interp.diff import (
@@ -21,6 +24,7 @@ from repro.interp.diff import (
     write_set,
 )
 from repro.interp.machine import RefInterpreter
+from repro.interp.meter import CostMeter
 from repro.interp.module import (
     InterpretedModule,
     interpret_workload,
@@ -34,6 +38,7 @@ from repro.interp.views import (
 )
 
 __all__ = [
+    "CostMeter",
     "Divergence",
     "ExecutionRecord",
     "InterpretedModule",

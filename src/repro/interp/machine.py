@@ -1,32 +1,46 @@
-"""The reference IR interpreter: direct, layout-agnostic execution of
-*original* (unfused) traversal semantics.
+"""The IR evaluator: the one piece of code that executes :mod:`repro.ir`
+statements and expressions.
 
-This is the repository's executable specification. It walks the
-:mod:`repro.ir` statement and expression forms directly — dynamic
-dispatch on each node's runtime type, truncation via ``return;``,
-topology mutation (``new``/``delete``), globals, by-value parameters,
-pure calls, and the entry schedule — with no cost metering, no fusion
-awareness, and no generated code. Fusion is an optimization whose
-correctness claim is observational equivalence with exactly this
-execution, so the fused and unfused compiled backends are both measured
-against it (see :mod:`repro.fuzz`).
+This is the repository's executable specification. It walks the IR
+directly — dynamic dispatch on each node's runtime type, truncation via
+``return;``, topology mutation (``new``/``delete``), globals, by-value
+parameters, pure calls, and the entry schedule — against any
+:mod:`repro.interp.views` layout view (object graph or ``ForestPool``
+columns), with no generated code. It runs both program forms: the
+original entry schedule (:meth:`RefInterpreter.run_entry`) and a fused
+program under the paper's §3.4 active-flag semantics
+(:meth:`RefInterpreter.run_fused`). Fusion's correctness claim is
+observational equivalence between the two, so the fusion pass and both
+compiled backends are measured against this evaluator
+(:mod:`repro.fuzz`).
 
-It differs from :class:`repro.runtime.interpreter.Interpreter` (the
-paper's cost-model stand-in) in three ways: it charges nothing, it runs
-against any :mod:`repro.interp.views` layout view (object graph or
-``ForestPool`` columns) rather than ``Node`` + ``Heap`` addresses, and
-it counts its writes so the serving tier can report
-``repro_interp_*`` metrics.
+Costs are observed, not computed here. Run over a
+:class:`~repro.interp.meter.CostMeter` view, the evaluator reports each
+statement, call, fused item and truncation to the meter, and the meter
+— the view every tree access passes through — charges memory traffic at
+``Heap`` addresses. Without a meter those reports cost one ``is None``
+test each. :class:`Interpreter` is the metered configuration the paper
+experiments use.
 
-C++ value semantics match the other executors exactly: ``/`` truncates
-toward zero, ``%`` takes the dividend's sign, ``&&``/``||``
+C++ value semantics match the compiled backends exactly: ``/``
+truncates toward zero, ``%`` takes the dividend's sign, ``&&``/``||``
 short-circuit to bools, and object values copy on assignment and
 parameter passing.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro.codegen.python_backend import RuntimeContext
 from repro.errors import RuntimeFailure
+from repro.fusion.fused_ir import (
+    FusedProgram,
+    FusedUnit,
+    GroupCall,
+    GuardedStmt,
+)
+from repro.interp.meter import CostMeter
 from repro.ir.access import AccessPath
 from repro.ir.exprs import BinOp, Const, DataAccess, Expr, PureCall, UnaryOp
 from repro.ir.program import Program
@@ -43,8 +57,9 @@ from repro.ir.stmts import (
     TraverseStmt,
     While,
 )
-from repro.runtime.interpreter import _cxx_div, _cxx_mod
-from repro.runtime.values import copy_value, default_value
+from repro.runtime.heap import Heap
+from repro.runtime.stats import ExecStats
+from repro.runtime.values import _cxx_div, _cxx_mod, copy_value, default_value
 
 
 class _ReturnSignal(Exception):
@@ -53,9 +68,9 @@ class _ReturnSignal(Exception):
 
 _RETURN = _ReturnSignal()
 
-# same non-termination backstop as the metering interpreter: traversal
-# loops iterate over bounded local computations, so a huge trip count is
-# an input-program bug, not a workload
+# Safety net for the §3.5 loop extension: traversal loops iterate over
+# bounded local computations, so a huge trip count is a non-termination
+# bug in the input program, not a workload.
 _LOOP_LIMIT = 1_000_000
 
 
@@ -73,13 +88,14 @@ class _Frame:
 
 
 class RefInterpreter:
-    """Execute a program's original entry schedule against a layout view.
+    """Execute a program's original or fused entry schedule against a
+    layout view; a :class:`CostMeter` view also meters the run.
 
     ``globals`` is shared with the caller (typically a
     :class:`repro.codegen.python_backend.RuntimeContext`'s dict) so the
     final global state is observable the same way compiled runs expose
-    it. ``stats`` counts node visits, truncations, and writes (tree
-    fields, topology slots, and globals) for the interp metrics.
+    it. ``node_visits``, ``truncations`` and ``writes`` (tree fields,
+    topology slots, and globals) feed the interp metrics.
     """
 
     def __init__(self, program: Program, view, globals_dict: dict):
@@ -87,6 +103,7 @@ class RefInterpreter:
         self.program = program
         self.view = view
         self.globals = globals_dict
+        self.meter = view if isinstance(view, CostMeter) else None
         self.node_visits = 0
         self.truncations = 0
         self.writes = 0
@@ -103,6 +120,27 @@ class RefInterpreter:
             args = [self.eval_expr(a, root, frame) for a in call.args]
             self.call_method(root, call.method_name, args)
 
+    def run_fused(self, fused: FusedProgram, root) -> None:
+        """The fused entry sequence: each entry group runs all of its
+        member traversals in one pass, dispatched on the root's type."""
+        for group in fused.entry_groups:
+            root_type = self.view.type_of(root)
+            unit = group.dispatch.get(root_type)
+            if unit is None:
+                raise RuntimeFailure(
+                    f"no fused entry for root type {root_type}"
+                )
+            frame = _Frame()
+            member_args = [
+                tuple(self.eval_expr(a, root, frame) for a in arg_exprs)
+                for arg_exprs in group.args_per_member
+            ]
+            self.call_fused(unit, root, member_args, (1 << unit.width) - 1)
+
+    # ==================================================================
+    # original (unfused) calls
+    # ==================================================================
+
     def call_method(self, node, method_name: str, args: list) -> None:
         if node is None:
             raise RuntimeFailure(
@@ -112,6 +150,9 @@ class RefInterpreter:
             self.view.type_of(node), method_name
         )
         self.node_visits += 1
+        meter = self.meter
+        if meter is not None:
+            meter.enter_method(method, len(args))
         frame = _Frame()
         for param, value in zip(method.params, args):
             frame.vars[param.name] = copy_value(value)
@@ -120,12 +161,97 @@ class RefInterpreter:
                 self.exec_stmt(stmt, node, frame)
         except _ReturnSignal:
             self.truncations += 1
+            if meter is not None:
+                meter.truncate(fused=False)
+
+    # ==================================================================
+    # fused calls (paper §3.4 active-flag semantics)
+    # ==================================================================
+
+    def call_fused(
+        self, unit: FusedUnit, node, member_args: list, active_flags: int
+    ) -> None:
+        """Run ``unit`` on ``node`` for the members whose bit is set in
+        ``active_flags``; a member's ``return;`` clears its bit."""
+        self.node_visits += 1
+        meter = self.meter
+        if meter is not None:
+            meter.enter_fused(member_args[: unit.width])
+        frames = []
+        for member, method in enumerate(unit.members):
+            frame = _Frame()
+            args = member_args[member] if member < len(member_args) else ()
+            for param, value in zip(method.params, args):
+                frame.vars[param.name] = copy_value(value)
+            frames.append(frame)
+        checked = 0
+        for item in unit.body:
+            if active_flags == 0:
+                break
+            checked += 1
+            if isinstance(item, GuardedStmt):
+                if not active_flags & (1 << item.member):
+                    continue
+                try:
+                    self.exec_stmt(item.stmt, node, frames[item.member])
+                except _ReturnSignal:
+                    active_flags &= ~(1 << item.member)
+                    self.truncations += 1
+                    if meter is not None:
+                        meter.truncate(fused=True)
+            else:
+                self._exec_group_call(item, node, frames, active_flags)
+        if meter is not None:
+            meter.check_flags(checked)
+
+    def _exec_group_call(
+        self, group: GroupCall, node, frames: list, active_flags: int
+    ) -> None:
+        """Continue the active (and, in TreeFuser mode, guard-passing)
+        members together on the receiver, as one fused call."""
+        call_flags = 0
+        child_args: list[tuple] = []
+        for slot, call in enumerate(group.calls):
+            frame = frames[call.member]
+            if active_flags & (1 << call.member) and (
+                call.guard is None or self.eval_expr(call.guard, node, frame)
+            ):
+                call_flags |= 1 << slot
+                child_args.append(
+                    tuple(self.eval_expr(a, node, frame) for a in call.args)
+                )
+            else:
+                child_args.append(())
+        if self.meter is not None:
+            self.meter.charge_group_call(group, active_flags, call_flags)
+        if call_flags == 0:
+            return
+        if group.receiver.is_this:
+            child = node
+        else:
+            child = self.view.get(node, group.receiver.child.name)
+            if child is None:
+                raise RuntimeFailure(
+                    f"fused group call on null child "
+                    f"{self.view.type_of(node)}.{group.receiver.child.name}"
+                )
+        child_type = self.view.type_of(child)
+        unit = group.dispatch.get(child_type)
+        if unit is None:
+            raise RuntimeFailure(
+                f"no fused unit for dynamic type {child_type} in "
+                f"group {group}"
+            )
+        self.call_fused(unit, child, child_args, call_flags)
 
     # ==================================================================
     # statements
     # ==================================================================
 
     def exec_stmt(self, stmt: Stmt, this, frame: _Frame) -> None:
+        meter = self.meter
+        if meter is not None:
+            meter.charge_stmt(stmt)
         if isinstance(stmt, Assign):
             value = self.eval_expr(stmt.value, this, frame)
             self.write_path(stmt.target, this, frame, value)
@@ -148,6 +274,8 @@ class RefInterpreter:
                         f"while loop exceeded {_LOOP_LIMIT} iterations "
                         "(likely non-terminating)"
                     )
+                if meter is not None:  # the next condition test
+                    meter.charge_stmt(stmt)
         elif isinstance(stmt, TraverseStmt):
             args = [self.eval_expr(a, this, frame) for a in stmt.args]
             if stmt.receiver.is_this:
@@ -166,24 +294,21 @@ class RefInterpreter:
                 )
             frame.aliases.discard(stmt.name)
         elif isinstance(stmt, AliasDef):
-            frame.vars[stmt.name] = self._walk_tree_node(
-                stmt.target, this, frame
+            target = stmt.target
+            frame.vars[stmt.name] = self._walk(
+                target, target.steps, this, frame
             )
             frame.aliases.add(stmt.name)
         elif isinstance(stmt, Return):
             raise _RETURN
-        elif isinstance(stmt, New):
-            parent, field_name = self._locate_child_slot(
-                stmt.target, this, frame
-            )
+        elif isinstance(stmt, (New, Delete)):
+            target = stmt.target
+            parent = self._walk(target, target.steps[:-1], this, frame)
             self.writes += 1
-            self.view.set(parent, field_name, self.view.new(stmt.type_name))
-        elif isinstance(stmt, Delete):
-            parent, field_name = self._locate_child_slot(
-                stmt.target, this, frame
-            )
-            self.writes += 1
-            self.view.set(parent, field_name, None)
+            fresh = None
+            if isinstance(stmt, New):
+                fresh = self.view.new(stmt.type_name)
+            self.view.set(parent, target.steps[-1].field.name, fresh)
         elif isinstance(stmt, PureStmt):
             self.eval_expr(stmt.call, this, frame)
         else:  # pragma: no cover - defensive
@@ -204,19 +329,12 @@ class RefInterpreter:
             )
         return child
 
-    def _walk_tree_node(self, path: AccessPath, this, frame: _Frame):
+    def _walk(self, path: AccessPath, steps, this, frame: _Frame):
+        """Follow *steps* (child steps of *path*) from its base node."""
         node = self._base_node(path, this, frame)
-        for step in path.steps:
+        for step in steps:
             node = self._read_child(node, step.field.name)
         return node
-
-    def _locate_child_slot(
-        self, path: AccessPath, this, frame: _Frame
-    ) -> tuple[object, str]:
-        node = self._base_node(path, this, frame)
-        for step in path.steps[:-1]:
-            node = self._read_child(node, step.field.name)
-        return node, path.steps[-1].field.name
 
     def _base_node(self, path: AccessPath, this, frame: _Frame):
         if path.base == "this":
@@ -231,27 +349,28 @@ class RefInterpreter:
 
     def read_path(self, path: AccessPath, this, frame: _Frame):
         if path.is_global:
+            if self.meter is not None:
+                self.meter.read_global(path)
             value = self.globals[path.base_name]
-            for step in path.steps:
-                value = value.get(step.field.name)
-            return value
-        if path.is_local and path.base_name not in frame.aliases:
+        elif path.is_local and path.base_name not in frame.aliases:
             value = frame.vars[path.base_name]
-            for step in path.steps:
-                value = value.get(step.field.name)
-            return value
-        # on-tree: this-based or through an alias
-        node = self._base_node(path, this, frame)
-        index = 0
-        steps = path.steps
-        while index < len(steps) and steps[index].field.is_child:
-            node = self._read_child(node, steps[index].field.name)
-            index += 1
-        remaining = steps[index:]
-        if not remaining:
-            return node
-        value = self.view.get(node, remaining[0].field.name)
-        for step in remaining[1:]:
+        else:  # on-tree: this-based or through an alias
+            node = self._base_node(path, this, frame)
+            index = 0
+            steps = path.steps
+            while index < len(steps) and steps[index].field.is_child:
+                node = self._read_child(node, steps[index].field.name)
+                index += 1
+            remaining = steps[index:]
+            if not remaining:
+                return node
+            if len(remaining) == 1:
+                return self.view.get(node, remaining[0].field.name)
+            # a member of an object-valued field (members are primitive)
+            return self.view.get_member(
+                node, remaining[0].field.name, remaining[1].field.name
+            )
+        for step in path.steps:
             value = value.get(step.field.name)
         return value
 
@@ -260,19 +379,18 @@ class RefInterpreter:
     ) -> None:
         if path.is_global:
             self.writes += 1
+            if self.meter is not None:
+                self.meter.write_global(path)
+            scope = self.globals
+        elif path.is_local and path.base_name not in frame.aliases:
+            scope = frame.vars
+        else:
+            scope = None
+        if scope is not None:
             if not path.steps:
-                self.globals[path.base_name] = copy_value(value)
+                scope[path.base_name] = copy_value(value)
                 return
-            container = self.globals[path.base_name]
-            for step in path.steps[:-1]:
-                container = container.get(step.field.name)
-            container.set(path.steps[-1].field.name, value)
-            return
-        if path.is_local and path.base_name not in frame.aliases:
-            if not path.steps:
-                frame.vars[path.base_name] = copy_value(value)
-                return
-            container = frame.vars[path.base_name]
+            container = scope[path.base_name]
             for step in path.steps[:-1]:
                 container = container.get(step.field.name)
             container.set(path.steps[-1].field.name, value)
@@ -290,10 +408,9 @@ class RefInterpreter:
         if len(remaining) == 1:
             self.view.set(node, remaining[0].field.name, copy_value(value))
             return
-        container = self.view.get(node, remaining[0].field.name)
-        for step in remaining[1:-1]:
-            container = container.get(step.field.name)
-        container.set(remaining[-1].field.name, value)
+        self.view.set_member(
+            node, remaining[0].field.name, remaining[1].field.name, value
+        )
 
     # ==================================================================
     # expressions
@@ -359,3 +476,17 @@ class RefInterpreter:
         if op == "!=":
             return lhs != rhs
         raise RuntimeFailure(f"unknown operator {op!r}")
+
+
+class Interpreter(RefInterpreter):
+    """The paper's cost model: the evaluator over the ``Node`` object
+    graph with a :class:`CostMeter` charging ``stats`` (the reproduction's
+    stand-in for "compile both versions with clang -O2 and read the
+    hardware counters"). Globals start at their declared defaults."""
+
+    def __init__(
+        self, program: Program, heap: Heap, stats: Optional[ExecStats] = None
+    ):
+        meter = CostMeter(program, heap, stats)
+        super().__init__(program, meter, RuntimeContext(program, heap).globals)
+        self.stats = meter.stats

@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.codegen.python_backend import RuntimeContext
+from repro.fusion import fuse_program
 from repro.interp.machine import RefInterpreter
 from repro.interp.views import view_for
 from repro.ir.program import Program
@@ -71,8 +72,9 @@ class InterpretedModule:
     ``layout='pooled'`` the tree round-trips through a
     :class:`~repro.layout.pool.ForestPool` (ingest → interpret over
     columns → write back), exactly like the pooled compiled modules.
-    Always original (unfused) semantics — the spec both compiled forms
-    must match.
+    ``run_entry`` runs the original (unfused) semantics — the spec every
+    other execution must match; ``run_fused`` interprets the program
+    ``fuse_program`` makes of it.
     """
 
     def __init__(self, program: Program, layout: str = "object"):
@@ -85,6 +87,16 @@ class InterpretedModule:
     def run_entry(
         self, heap: Heap, root: Node, globals_map=None
     ) -> RuntimeContext:
+        return self._run(heap, root, globals_map, None)
+
+    def run_fused(
+        self, heap: Heap, root: Node, globals_map=None
+    ) -> RuntimeContext:
+        """Interpret ``fuse_program(program)`` under the §3.4 active-flag
+        semantics: the fusion pass checked without any generated code."""
+        return self._run(heap, root, globals_map, fuse_program(self.program))
+
+    def _run(self, heap, root, globals_map, fused) -> RuntimeContext:
         context = RuntimeContext(self.program, heap, globals_map)
         start = time.perf_counter()
         with obs.span(
@@ -95,7 +107,10 @@ class InterpretedModule:
             view = view_for(self.layout, self.program, heap)
             ref = view.ingest(root)
             machine = RefInterpreter(self.program, view, context.globals)
-            machine.run_entry(ref)
+            if fused is not None:
+                machine.run_fused(fused, ref)
+            else:
+                machine.run_entry(ref)
             view.finish()
             span.set(
                 node_visits=machine.node_visits,

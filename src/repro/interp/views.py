@@ -1,15 +1,19 @@
-"""Layout views: one interpreter, two tree representations.
+"""Layout views: one evaluator, two tree representations.
 
-The reference interpreter (:mod:`repro.interp.machine`) never touches a
-tree directly — every representation operation goes through a *view*,
-so the same statement/expression semantics execute against the ``Node``
-object graph and against :class:`~repro.layout.pool.ForestPool`
-structure-of-arrays columns. A view's node *references* are opaque to
-the interpreter: ``Node`` objects for the object graph, integer row
-indices for the pool. The interpreter always knows statically (from the
-resolved :class:`~repro.ir.access.AccessPath` field metadata) whether a
-value it reads is a child reference or a data value, so the two
-reference kinds never need runtime disambiguation.
+The IR evaluator (:mod:`repro.interp.machine`) never touches a tree
+directly — every representation operation goes through a *view*, so the
+same statement/expression semantics execute against the ``Node`` object
+graph and against :class:`~repro.layout.pool.ForestPool`
+structure-of-arrays columns. The same indirection lets a view observe
+every tree access: :class:`~repro.interp.meter.CostMeter` is the
+object-graph view that charges the paper's cost model.
+
+A view's node *references* are opaque to the evaluator: ``Node`` objects
+for the object graph, integer row indices for the pool. The evaluator
+always knows statically (from the resolved
+:class:`~repro.ir.access.AccessPath` field metadata) whether a value it
+reads is a child reference or a data value, so the two reference kinds
+never need runtime disambiguation.
 
 Both views share the compiled backends' external contract: ``ingest`` a
 root ``Node``, run, ``finish`` — after which the original ``Node``
@@ -48,6 +52,12 @@ class ObjectTreeView:
 
     def set(self, ref, field_name: str, value) -> None:
         ref.set(field_name, value)
+
+    def get_member(self, ref, field_name: str, member: str):
+        return ref.get(field_name).get(member)
+
+    def set_member(self, ref, field_name: str, member: str, value) -> None:
+        ref.get(field_name).set(member, value)
 
     def new(self, type_name: str):
         return Node.new(self.program, self.heap, type_name)
@@ -97,6 +107,12 @@ class PooledTreeView:
                 f"pool has no column {field_name!r}"
             )
         column[ref] = value
+
+    def get_member(self, ref: int, field_name: str, member: str):
+        return self.get(ref, field_name).get(member)
+
+    def set_member(self, ref: int, field_name: str, member: str, value):
+        self.get(ref, field_name).set(member, value)
 
     def new(self, type_name: str) -> int:
         return self.pool.new(type_name)

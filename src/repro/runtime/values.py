@@ -73,3 +73,22 @@ def copy_value(value):
     if isinstance(value, ObjectValue):
         return value.copy()
     return value
+
+
+def _cxx_div(lhs, rhs):
+    """C++ division: integer division truncates toward zero."""
+    if rhs == 0:
+        raise RuntimeFailure("division by zero")
+    if isinstance(lhs, bool) or isinstance(rhs, bool):
+        lhs, rhs = int(lhs), int(rhs)
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        quotient = abs(lhs) // abs(rhs)
+        return quotient if (lhs < 0) == (rhs < 0) else -quotient
+    return lhs / rhs
+
+
+def _cxx_mod(lhs, rhs):
+    """C++ %: result has the sign of the dividend."""
+    if rhs == 0:
+        raise RuntimeFailure("modulo by zero")
+    return lhs - rhs * _cxx_div(lhs, rhs)

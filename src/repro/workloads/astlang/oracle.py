@@ -38,18 +38,18 @@ def _function_nodes(program_node: Node):
         node = node.get("Next")
 
 
-def eval_expr(expr: Node, env: dict[int, int]) -> int:
+def eval_ast_expr(expr: Node, env: dict[int, int]) -> int:
     kind = expr.get("kind")
     if kind == K_CONST:
         return expr.get("value")
     if kind == K_VAR:
         return env.get(expr.get("varId"), 0)
     if kind == K_INCR:
-        return eval_expr(expr.get("Operand"), env) + 1
+        return eval_ast_expr(expr.get("Operand"), env) + 1
     if kind == K_DECR:
-        return eval_expr(expr.get("Operand"), env) - 1
-    left = eval_expr(expr.get("Left"), env)
-    right = eval_expr(expr.get("Right"), env)
+        return eval_ast_expr(expr.get("Operand"), env) - 1
+    left = eval_ast_expr(expr.get("Left"), env)
+    right = eval_ast_expr(expr.get("Right"), env)
     if kind == K_ADD:
         return left + right
     if kind == K_SUB:
@@ -62,9 +62,9 @@ def eval_expr(expr: Node, env: dict[int, int]) -> int:
 def eval_stmts(stmt_list: Node, env: dict[int, int]) -> None:
     for stmt in _stmt_nodes(stmt_list):
         if stmt.get("kind") == S_ASSIGN:
-            env[stmt.get("varId")] = eval_expr(stmt.get("Rhs"), env)
+            env[stmt.get("varId")] = eval_ast_expr(stmt.get("Rhs"), env)
         elif stmt.get("kind") == S_IF:
-            if eval_expr(stmt.get("Cond"), env) != 0:
+            if eval_ast_expr(stmt.get("Cond"), env) != 0:
                 eval_stmts(stmt.get("Then"), env)
             else:
                 eval_stmts(stmt.get("Else"), env)

@@ -42,7 +42,7 @@ class TestCorpus:
             generate_case(seed, max_depth=CORPUS["max_depth"])
         )
         assert result.ok, result.report()
-        # all six executions actually ran and were compared
+        # all seven executions actually ran and were compared
         assert set(result.records) | set(result.errors) == set(LABELS)
 
 

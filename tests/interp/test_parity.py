@@ -1,7 +1,9 @@
 """Interpreter parity: the reference interpreter must produce the same
 snapshot, final globals, and write-set as BOTH compiled forms (fused and
 unfused) under BOTH tree layouts (object graph and forest pool), on all
-four paper workloads.
+four paper workloads. The same evaluator interpreting the fused
+program, and running metered as the paper's cost model, must match it
+too.
 
 This is the acceptance gate for the interpreter being "the executable
 specification": if it ever disagrees with compiled output, either a
@@ -12,6 +14,7 @@ diverging path so the failure reads like a bug report.
 
 import pytest
 
+from repro.cachesim import paper_hierarchy
 from repro.interp import (
     InterpretedModule,
     diff_report,
@@ -21,7 +24,7 @@ from repro.interp import (
 )
 from repro.pipeline import CompileOptions
 from repro.pipeline import compile as pipeline_compile
-from repro.runtime.heap import Heap
+from repro.runtime import ExecStats, Heap, Interpreter
 from repro.workloads.astlang import astlang_workload
 from repro.workloads.fmm import fmm_workload
 from repro.workloads.kdtree import kdtree_workload
@@ -35,28 +38,50 @@ CASES = [
 ]
 
 
-def _interp_record(workload, spec_kwargs, layout):
-    program, heap, root, context = None, None, None, None
-    resolved = resolve_program(
+def _record(workload, spec_kwargs, label, run):
+    """Build the workload's tree over a freshly resolved program, run
+    ``run(program, heap, root, globals_map)`` (which returns the final
+    globals) and record the outcome."""
+    program = resolve_program(
         workload.source,
         name=workload.name,
         pure_impls=dict(workload.pure_impls or {}) or None,
     )
-    heap = Heap(resolved)
+    heap = Heap(program)
     root = workload.build_tree(
-        resolved, heap, workload.make_spec(**spec_kwargs)
+        program, heap, workload.make_spec(**spec_kwargs)
     )
-    before = root.snapshot(resolved)
+    before = root.snapshot(program)
     globals_map = dict(workload.globals_map or {})
-    module = InterpretedModule(resolved, layout=layout)
-    context = module.run_entry(heap, root, globals_map)
+    final_globals = run(program, heap, root, globals_map)
     return make_record(
-        f"interp/{layout}",
-        before,
-        root.snapshot(resolved),
-        globals_map,
-        context.globals,
+        label, before, root.snapshot(program), globals_map, final_globals
     )
+
+
+def _interp_record(workload, spec_kwargs, layout, fused=False):
+    def run(program, heap, root, globals_map):
+        module = InterpretedModule(program, layout=layout)
+        runner = module.run_fused if fused else module.run_entry
+        return runner(heap, root, globals_map).globals
+
+    mode = "interp-fused" if fused else "interp"
+    return _record(workload, spec_kwargs, f"{mode}/{layout}", run)
+
+
+def _metered_record(workload, spec_kwargs):
+    """The paper's cost model: the same evaluator, with a CostMeter
+    charging instructions and driving the cache simulator."""
+
+    def run(program, heap, root, globals_map):
+        stats = ExecStats(cache=paper_hierarchy(scale=64))
+        interp = Interpreter(program, heap, stats)
+        interp.globals.update(globals_map)
+        interp.run_entry(root)
+        assert stats.instructions and stats.miss_counts()
+        return interp.globals
+
+    return _record(workload, spec_kwargs, "metered/object", run)
 
 
 def _compiled_record(workload, spec_kwargs, layout, fused):
@@ -101,6 +126,30 @@ class TestInterpreterMatchesCompiled:
         assert report is None, report
         # the run actually did something, or parity is vacuous
         assert interp.write_set or interp.globals
+
+
+@pytest.mark.parametrize(
+    "name,factory,spec_kwargs",
+    CASES,
+    ids=[case[0] for case in CASES],
+)
+class TestOneEvaluator:
+    """The same evaluator runs the fused program and the metered cost
+    model; both must be observationally equal to the unfused spec."""
+
+    def test_interp_fused_matches_unfused(self, name, factory, spec_kwargs):
+        workload = factory()
+        unfused = _interp_record(workload, spec_kwargs, "object")
+        fused = _interp_record(workload, spec_kwargs, "object", fused=True)
+        report = diff_report(unfused, fused)
+        assert report is None, report
+
+    def test_meter_only_observes(self, name, factory, spec_kwargs):
+        workload = factory()
+        unmetered = _interp_record(workload, spec_kwargs, "object")
+        metered = _metered_record(workload, spec_kwargs)
+        report = diff_report(unmetered, metered)
+        assert report is None, report
 
 
 class TestInterpretWorkloadHelper:
