@@ -1,8 +1,11 @@
 """Observability overhead gate: tracing disabled must be free.
 
 Three variants of the same warm compile + execution step, measured
-interleaved (one round of each per iteration, so clock drift hits all
-variants equally):
+interleaved (one run of each per round, so clock drift hits all
+variants equally; successive rounds cycle through all six variant
+orders, so no variant always runs first, last, or after the same
+neighbour, and every timed step starts from a fresh ``gc.collect()``
+with the collector off inside it):
 
 * **floor** — every ``obs`` entry point monkeypatched to a no-op and
   every instrument method stubbed: the cost the code would have if the
@@ -11,10 +14,13 @@ variants equally):
   shared noop span, counters still count;
 * **enabled** — full span capture into the ring buffer.
 
-Acceptance (ISSUE 7): the disabled median is within 2% of the floor
-median. Results land in benchmark_results/obs_overhead.txt.
+Acceptance: the median over rounds of the per-round disabled/floor
+time ratio is at most 1.02. Results land in
+benchmark_results/obs_overhead.txt.
 """
 
+import gc
+import itertools
 import statistics
 import time
 from contextlib import contextmanager, nullcontext
@@ -27,7 +33,7 @@ from repro.service.executor import BatchExecutor
 from repro.storage import MemoryTier
 from repro.workloads.render.schema import RENDER_SOURCE
 
-ROUNDS = 40
+ROUNDS = 120
 WARMUP = 5
 
 
@@ -104,6 +110,19 @@ VARIANTS = [
 ]
 
 
+def _timed(step) -> float:
+    """One step's wall time, started from a collected heap with the
+    collector off, so no variant pays for another's garbage."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        step()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
 def test_disabled_tracing_overhead_under_two_percent(results_dir):
     cache = MemoryTier()
     pipeline_compile(RENDER_SOURCE, cache=cache)  # warm the result key
@@ -125,39 +144,41 @@ def test_disabled_tracing_overhead_under_two_percent(results_dir):
                     step()
 
         series = {name: [] for name, _ in VARIANTS}
-        for _ in range(ROUNDS):
-            for name, patches in VARIANTS:
+        orders = list(itertools.permutations(VARIANTS))
+        for index in range(ROUNDS):
+            for name, patches in orders[index % len(orders)]:
                 with patches():
-                    start = time.perf_counter()
-                    step()
-                    series[name].append(
-                        time.perf_counter() - start
-                    )
+                    series[name].append(_timed(step))
 
     medians = {
         name: statistics.median(values) * 1e3
         for name, values in series.items()
     }
 
-    def overhead(name):
-        return (medians[name] / medians["floor"] - 1.0) * 100.0
+    def ratio(name):
+        """Median over rounds of this variant's time / the floor's."""
+        return statistics.median(
+            value / floor
+            for value, floor in zip(series[name], series["floor"])
+        )
 
     text = (
         "Observability overhead (warm compile + exec, render x4 "
-        f"trees, {ROUNDS} interleaved rounds)\n"
+        f"trees, {ROUNDS} interleaved rounds cycling all variant "
+        "orders, GC collected before and off during each step)\n"
         f"floor (instrumentation stubbed out): "
         f"median {medians['floor']:.3f} ms\n"
         f"tracing disabled (shipped default):  "
         f"median {medians['disabled']:.3f} ms "
-        f"({overhead('disabled'):+.2f}%)\n"
+        f"(median per-round ratio {(ratio('disabled') - 1) * 100:+.2f}%)\n"
         f"tracing enabled (full span capture): "
         f"median {medians['enabled']:.3f} ms "
-        f"({overhead('enabled'):+.2f}%)\n"
-        "gate: disabled median <= floor median * 1.02"
+        f"(median per-round ratio {(ratio('enabled') - 1) * 100:+.2f}%)\n"
+        "gate: median per-round disabled/floor ratio <= 1.02"
     )
     print()
     print(text)
-    assert medians["disabled"] <= medians["floor"] * 1.02, text
+    assert ratio("disabled") <= 1.02, text
     # write only after the gate: a failing run must not overwrite a
     # passing run's committed artifact
     (results_dir / "obs_overhead.txt").write_text(text + "\n")

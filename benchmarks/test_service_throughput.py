@@ -30,6 +30,7 @@ import sys
 import textwrap
 import time
 
+from repro.api.workload import Workload
 from repro.bench.runner import run_forest
 from repro.workloads.render import (
     DEFAULT_GLOBALS,
@@ -45,6 +46,17 @@ WORKERS = 2
 ROUNDS = 5
 
 
+# the string-DSL render program with its impls bound: the same source
+# text (and so the same artifact) the service has always compiled here
+RENDER_TEXT = Workload.from_source(
+    "render",
+    RENDER_SOURCE,
+    build_document,
+    pure_impls=RENDER_PURE_IMPLS,
+    globals_map=DEFAULT_GLOBALS,
+)
+
+
 def _forest():
     return [replicated_pages_spec(PAGES) for _ in range(FOREST)]
 
@@ -52,11 +64,8 @@ def _forest():
 def _run(executor, sequential: bool):
     return run_forest(
         "sequential" if sequential else "batched",
-        RENDER_SOURCE,
+        RENDER_TEXT,
         _forest(),
-        build_document,
-        globals_map=DEFAULT_GLOBALS,
-        pure_impls=RENDER_PURE_IMPLS,
         sequential=sequential,
         executor=executor,
     )

@@ -17,10 +17,7 @@ warm stores, local roots or remote ``repro serve`` URLs — covers the
 in-memory compile cache, the on-disk artifact store, and the
 executor's workers), and a lazily created
 :class:`~repro.service.executor.BatchExecutor` (so sessions that only
-compile never spin up a pool). The old spellings — calling
-``pipeline.compile`` with loose impls, hand-building ``ExecRequest``s,
-wiring a ``BatchExecutor`` yourself — keep working as deprecation
-shims, but this is the supported front door.
+compile never spin up a pool).
 """
 
 from __future__ import annotations
@@ -314,9 +311,9 @@ class Session:
         if self._executor is not None:
             stats["executor"] = self._executor.stats()
         if self.cache_dir is not None:
-            from repro.service.store import store_for
+            from repro.storage import disk_tier_for
 
-            stats["store"] = store_for(self.cache_dir).stats()
+            stats["store"] = disk_tier_for(self.cache_dir).stats()
         tiers = self._tiers()
         if tiers is not None:
             stats["storage"] = tiers.stats()

@@ -259,16 +259,6 @@ def cmd_exec(args) -> int:
             f"have {', '.join(sorted(WORKLOADS))}"
         )
     spec = WORKLOADS[args.workload]
-    if args.pages is not None and spec.size_kwarg != "pages":
-        raise ReproError(
-            f"--pages is the render size knob; {args.workload} scales "
-            f"with --size (its {spec.size_kwarg!r})"
-        )
-    if args.pages is not None and args.size is not None:
-        raise ReproError(
-            "--pages and --size are the same knob; pass one of them"
-        )
-    size = args.size if args.size is not None else args.pages
     layout = getattr(args, "layout", None)
     mode = "interpret" if getattr(args, "interp", False) else None
     tracing = bool(getattr(args, "trace_out", None))
@@ -296,7 +286,7 @@ def cmd_exec(args) -> int:
                     service.executor.run(
                         [
                             spec.make_request(
-                                trees=1, size=size, layout=layout,
+                                trees=1, size=args.size, layout=layout,
                                 mode=mode,
                             )
                         ]
@@ -307,7 +297,7 @@ def cmd_exec(args) -> int:
                 results = service.executor.run(
                     [
                         spec.make_request(
-                            trees=args.trees, size=size, layout=layout,
+                            trees=args.trees, size=args.size, layout=layout,
                             mode=mode,
                         )
                     ]
@@ -687,10 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tree size knob (pages for render, functions for "
              "astlang, depth for kdtree, particles for fmm); each "
              "workload has its own default",
-    )
-    exec_cmd.add_argument(
-        "--pages", type=int, default=None,
-        help="legacy spelling of --size for the render workload",
     )
     exec_cmd.add_argument(
         "--sequential", action="store_true",

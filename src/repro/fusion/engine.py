@@ -1,4 +1,4 @@
-"""The fusion driver (paper §3.3) — compatibility shim.
+"""The fusion driver (paper §3.3) — one-call entry point.
 
 The monolithic engine that used to live here was decomposed into the
 staged pipeline passes of :mod:`repro.pipeline.stages`:
@@ -8,100 +8,16 @@ staged pipeline passes of :mod:`repro.pipeline.stages`:
 * topological body ordering and unit assembly →
   :func:`repro.pipeline.stages.synthesize_fused` (the *schedule* pass).
 
-:class:`FusionEngine` and :func:`fuse_program` remain as thin wrappers
-with the original semantics (uncached, deterministic) so existing
-callers and tests keep working; new code should use
-``repro.pipeline.compile()``, which adds per-pass instrumentation and
-the content-addressed compile cache.
+:func:`fuse_program` runs both passes uncached and deterministically;
+``repro.pipeline.compile()`` adds per-pass instrumentation and the
+content-addressed compile cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.analysis.call_automata import AnalysisContext
-from repro.fusion.fused_ir import FusedProgram, FusedUnit
+from repro.fusion.fused_ir import FusedProgram
 from repro.fusion.grouping import FusionLimits
-from repro.ir.method import TraversalMethod
 from repro.ir.program import Program
-
-
-def _stages():
-    # lazy: repro.pipeline.stages imports repro.fusion submodules, so a
-    # module-scope import here would cycle through the package __init__
-    from repro.pipeline import stages
-
-    return stages
-
-
-class FusionEngine:
-    """Thin shim over the pipeline's fusion + schedule passes.
-
-    Like the old engine, one instance memoizes across calls: the planner
-    and the ``units`` dict persist for the engine's lifetime, so a
-    sequence fused once keeps its FusedUnit object identity in later
-    ``fuse_sequence``/``fuse_program`` calls.
-    """
-
-    def __init__(
-        self,
-        program: Program,
-        limits: FusionLimits | None = None,
-    ):
-        program.finalize()
-        self.program = program
-        self.limits = limits if limits is not None else FusionLimits()
-        self.ctx = AnalysisContext(program)
-        self.units: dict[tuple[str, ...], FusedUnit] = {}
-        self._planner = None
-
-    def _planner_for_life(self):
-        if self._planner is None:
-            self._planner = _stages().FusionPlanner(
-                self.program, self.limits, self.ctx
-            )
-        return self._planner
-
-    def fuse_program(self) -> FusedProgram:
-        stages = _stages()
-        planner = self._planner_for_life()
-        entry_plans = planner.plan_entry()
-        return stages.synthesize_fused(
-            self.program, planner, entry_plans, units=self.units
-        )
-
-    def fuse_sequence(self, members: tuple[TraversalMethod, ...]) -> FusedUnit:
-        """Fuse one concrete member sequence (and everything it reaches).
-
-        Synthesized units accumulate in ``self.units`` across calls,
-        exactly like the old engine's memoization.
-        """
-        stages = _stages()
-        planner = self._planner_for_life()
-        key = planner.plan_sequence(tuple(members))
-        stages.synthesize_fused(self.program, planner, [], units=self.units)
-        return self.units[key]
-
-
-def _guards_exclusive(a, b) -> bool:
-    return _stages()._guards_exclusive(a, b)
-
-
-def _tag_test_atoms(expr):
-    return _stages()._tag_test_atoms(expr)
-
-
-def _label_for(key: tuple[str, ...]) -> str:
-    return _stages()._label_for(key)
-
-
-@dataclass
-class FusionReport:
-    """Synthesis summary used by benchmarks and docs."""
-
-    unit_count: int
-    max_width: int
-    group_count: int
 
 
 def fuse_program(
@@ -109,5 +25,8 @@ def fuse_program(
 ) -> FusedProgram:
     """One-call convenience wrapper: program -> fused program (uncached;
     ``repro.pipeline.compile`` adds caching and instrumentation)."""
-    stages = _stages()
+    # lazy: repro.pipeline.stages imports repro.fusion submodules, so a
+    # module-scope import here would cycle through the package __init__
+    from repro.pipeline import stages
+
     return stages.plan_and_synthesize(program, limits)

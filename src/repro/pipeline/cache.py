@@ -1,15 +1,10 @@
-"""The in-memory compile cache — now a face of :mod:`repro.storage`.
+"""The process-wide memory tier every in-process compile shares.
 
-The cache that used to live here (three LRU sections: whole compile
-results, exec'd module artifacts, per-unit pass artifacts) is now
-:class:`repro.storage.memory.MemoryTier`, the first tier of every
-:class:`~repro.storage.tiered.TieredStore` the driver builds. What
-remains here is the module-level :data:`GLOBAL_CACHE` every in-process
-compile shares, plus :class:`CompileCache` — the pre-storage public
-spelling, kept as a thin deprecation shim (its old method names
-``lookup``/``insert``/``store``/``artifact``/``store_artifact``/
-``unit_lookup``/``unit_store`` delegate to the tier protocol and it
-warns once on construction).
+The cache itself is :class:`repro.storage.memory.MemoryTier` (three
+LRU sections: whole compile results, exec'd module artifacts, per-unit
+pass artifacts), the first tier of every
+:class:`~repro.storage.tiered.TieredStore` the driver builds. This
+module holds the one shared instance, :data:`GLOBAL_CACHE`.
 
 Keys are pure content hashes — compiling the *same text* through two
 different ``Program`` objects hits the same entry. The memory layer
@@ -18,63 +13,7 @@ peer layers below it key on the output-options hash (see
 :mod:`repro.storage`).
 """
 
-from __future__ import annotations
-
-from typing import Hashable, Optional
-
-from repro._compat import suppress_legacy_warnings, warn_legacy
-from repro.pipeline.options import CompileResult
 from repro.storage.memory import MemoryTier
 
-
-class CompileCache(MemoryTier):
-    """Deprecated spelling of :class:`repro.storage.MemoryTier`.
-
-    Construction warns once; every pre-storage method name keeps
-    working. New code should build a ``MemoryTier`` (or just use the
-    driver's default :data:`GLOBAL_CACHE`).
-    """
-
-    def __init__(self, max_entries: int = 128, max_units: int = 4096,
-                 max_bytes: Optional[int] = None):
-        warn_legacy(
-            "CompileCache is deprecated; use repro.storage.MemoryTier "
-            "(same LRU, now byte-budgeted and tier-composable)"
-        )
-        kwargs = {"max_entries": max_entries, "max_units": max_units}
-        if max_bytes is not None:
-            kwargs["max_bytes"] = max_bytes
-        super().__init__(**kwargs)
-
-    # -- pre-storage method names ---------------------------------------
-
-    def lookup(self, key: tuple[str, str]) -> Optional[CompileResult]:
-        return self.get_result(key)
-
-    def insert(
-        self,
-        key: tuple[str, str],
-        result: CompileResult,
-        from_disk: bool = False,
-    ) -> None:
-        self.put_result(key, result, promoted=from_disk)
-
-    def store(self, key: tuple[str, str], result: CompileResult) -> None:
-        self.put_result(key, result)
-
-    def artifact(self, key: Hashable) -> Optional[object]:
-        return self.get_artifact(key)
-
-    def store_artifact(self, key: Hashable, value: object) -> None:
-        self.put_artifact(key, value)
-
-    def unit_lookup(self, pass_name: str, key: str):
-        return self.get_unit(pass_name, key)
-
-    def unit_store(self, pass_name: str, key: str, value) -> None:
-        self.put_unit(pass_name, key, value)
-
-
-with suppress_legacy_warnings():
-    #: The process-wide memory tier every driver-level compile shares.
-    GLOBAL_CACHE = CompileCache()
+#: The process-wide memory tier every driver-level compile shares.
+GLOBAL_CACHE = MemoryTier()

@@ -18,7 +18,6 @@ from dataclasses import replace
 from typing import Optional, Union
 
 from repro import obs
-from repro._compat import warn_legacy
 from repro.ir.program import Program
 from repro.pipeline.cache import GLOBAL_CACHE
 from repro.pipeline.manager import PassContext, PassManager
@@ -39,7 +38,6 @@ def compile(
     options: Optional[CompileOptions] = None,
     name: str = "program",
     cache: Optional[MemoryTier] = GLOBAL_CACHE,
-    pure_impls: Optional[dict] = None,
     incremental: bool = True,
     reuse_result: bool = True,
 ) -> CompileResult:
@@ -88,24 +86,13 @@ def compile(
     # Lazy import: repro.api sits above the pipeline.
     from repro.api.workload import Workload
 
+    pure_impls = None
     if isinstance(source, Workload):
-        if pure_impls is not None:
-            raise TypeError(
-                "pass impls inside the Workload, not as pure_impls"
-            )
         name = source.name
         pure_impls = (
             dict(source.pure_impls) if source.pure_impls else None
         )
         source = source.source
-    elif pure_impls is not None:
-        # the pre-Workload spelling: loose impls threaded alongside the
-        # source. Kept as a shim (internal plumbing suppresses the
-        # warning; see repro._compat).
-        warn_legacy(
-            "pipeline.compile(source, pure_impls=...) is deprecated; "
-            "bundle the program and its impls in a repro.Workload"
-        )
     options = options if options is not None else CompileOptions()
     # fail a typo'd layout before any hashing or tier traffic — the
     # knob participates in every cache key, so an unknown name would
@@ -164,7 +151,7 @@ def compile(
         if incremental and store is not None:
             from repro.pipeline.units import UnitArtifacts
 
-            units = UnitArtifacts(tiers=store)
+            units = UnitArtifacts(store)
         pctx = PassContext(
             options,
             source_text=source_text,

@@ -2,15 +2,17 @@
 
 :class:`CompileOptions` is the *complete* set of knobs that can change
 what the pipeline produces — it hashes to a stable string so the
-:class:`~repro.pipeline.cache.CompileCache` can key results on
-``(source hash, options hash)``. Anything cosmetic (the module name, the
-cache instance) deliberately stays out of it.
+storage tiers (:mod:`repro.storage`) can key results on ``(source
+hash, options hash)``. Anything cosmetic (the module name, the cache
+instance) deliberately stays out of it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import pathlib
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -100,6 +102,20 @@ def hash_source(source: str, pure_impls: Optional[dict] = None) -> str:
     return hash_text(
         f"{source}\x00impls={_impl_signature(pure_impls or {})}"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def codegen_fingerprint() -> str:
+    """Hash of the code generator's own sources (``repro/codegen``),
+    computed once per process. Emitted module text depends on the
+    generator as much as on the program, so emit units and persisted
+    emitting results key on this: a durable store never serves modules
+    an older generator wrote."""
+    codegen = pathlib.Path(__file__).resolve().parent.parent / "codegen"
+    digest = hashlib.sha256()
+    for path in sorted(codegen.glob("*.py")):
+        digest.update(path.name.encode() + b"\x00" + path.read_bytes())
+    return digest.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -207,14 +223,18 @@ class CompileOptions:
 
     def output_canonical(self) -> str:
         """Canonical text of the output-affecting fields only — the
-        on-disk store's key space (see ``NON_OUTPUT_FIELDS``)."""
-        return ";".join(
-            self._parts(
-                spec
-                for spec in fields(self)
-                if spec.name not in self.NON_OUTPUT_FIELDS
-            )
+        on-disk store's key space (see ``NON_OUTPUT_FIELDS``). Emitting
+        compiles also name the code generator
+        (:func:`codegen_fingerprint`), so a store outlives codegen
+        changes without serving stale modules."""
+        parts = self._parts(
+            spec
+            for spec in fields(self)
+            if spec.name not in self.NON_OUTPUT_FIELDS
         )
+        if self.emit:
+            parts.append(f"codegen={codegen_fingerprint()}")
+        return ";".join(parts)
 
     def _parts(self, specs) -> list[str]:
         parts = []

@@ -169,7 +169,7 @@ class EntryPlan:
 class FusionPlanner:
     """Worklist discovery of every reachable fused sequence.
 
-    Mirrors the old ``FusionEngine.fuse_sequence`` recursion: a sequence
+    Mirrors the paper's fixpoint recursion (§3.3): a sequence
     is registered under its key *before* its groups are planned, so
     self-referential sequences terminate as recursive references, and
     memoization on the key keeps the label space finite under the
@@ -279,8 +279,8 @@ class FusionPlanner:
         Worklist-driven: :meth:`plan_one` plans one sequence *shallowly*
         (children recorded, not recursed into), so the fusion pass can
         run the same discovery unit by unit through the cache; this
-        method is the one-call spelling the FusionEngine shim and
-        :func:`plan_and_synthesize` use. A sequence is registered under
+        method is the one-call spelling :func:`plan_and_synthesize`
+        uses. A sequence is registered under
         its key before its children are planned, so self-referential
         sequences terminate as recursive references, and memoization on
         the key keeps the label space finite under the cutoffs (§4).
@@ -444,34 +444,25 @@ def synthesize_fused(
     program: Program,
     planner: FusionPlanner,
     entry_plans: list[EntryPlan],
-    units: dict[SequenceKey, FusedUnit] | None = None,
     orders: dict[SequenceKey, list[list[int]]] | None = None,
 ) -> FusedProgram:
     """Schedule every planned unit and assemble the FusedProgram: each
     body is a topological order of the contracted dependence graph, with
     group leaders replaced by their fused calls (paper §3.4).
 
-    Passing a *units* dict makes synthesis incremental: keys already
-    present keep their (already-synthesized) FusedUnit objects, new
-    plans get fresh units wired into the same dict — the FusionEngine
-    shim uses this to preserve the old engine's identity-stable
-    memoization across repeated ``fuse_sequence`` calls. *orders* lets
-    the schedule pass hand in per-unit topological orders it already
-    computed (and counted) unit by unit.
+    *orders* lets the schedule pass hand in per-unit topological orders
+    it already computed (and counted) unit by unit.
     """
-    if units is None:
-        units = {}
-    fresh_keys = [key for key in planner.plans if key not in units]
-    for key in fresh_keys:
-        plan = planner.plans[key]
-        units[key] = FusedUnit(
+    units: dict[SequenceKey, FusedUnit] = {
+        key: FusedUnit(
             label=plan.label,
             key=key,
             members=plan.members,
             this_type=plan.this_type,
         )
-    for key in fresh_keys:
-        plan = planner.plans[key]
+        for key, plan in planner.plans.items()
+    }
+    for key, plan in planner.plans.items():
         order = (
             orders[key]
             if orders is not None and key in orders
@@ -515,7 +506,8 @@ def plan_and_synthesize(
     limits: FusionLimits | None = None,
     ctx: AnalysisContext | None = None,
 ) -> FusedProgram:
-    """Uncached one-call fusion (what the FusionEngine shim runs)."""
+    """Uncached one-call fusion (what :func:`repro.fusion.fuse_program`
+    runs)."""
     program.finalize()
     limits = limits if limits is not None else FusionLimits()
     ctx = ctx if ctx is not None else AnalysisContext(program)
@@ -958,7 +950,9 @@ class EmitPass:
     its pieces cache under an ``emit:pooled`` salt and its modules under
     ``pooled-*`` artifact keys, so the two layouts never alias in any
     storage tier (the unit index's schema hash does not see the layout
-    knob — the salt carries it)."""
+    knob — the salt carries it). Both salts carry the
+    :func:`~repro.pipeline.options.codegen_fingerprint`, so a durable
+    store never serves pieces an older code generator emitted."""
 
     name = "emit"
     persist_units = True
@@ -978,9 +972,12 @@ class EmitPass:
         # for its cached wrappers, so importing it at module scope here
         # would be circular
         from repro.codegen.python_backend import module_methods
+        from repro.pipeline.options import codegen_fingerprint
 
         self.pooled = pctx.options.layout == "pooled"
         salt = "emit:pooled" if self.pooled else "emit"
+        # emitted text depends on the generator, not just the program
+        salt = f"{salt}@{codegen_fingerprint()}"
         units = []
         for qualified, method in module_methods(pctx.program).items():
             key = (

@@ -1,14 +1,9 @@
 """Traversal service: persistent artifacts + batched async execution.
 
-The compiler (``repro.pipeline``) produces content-addressed artifacts;
-this package makes them *servable*:
+The compiler (``repro.pipeline``) produces content-addressed artifacts
+(persisted by :class:`repro.storage.DiskTier`); this package makes them
+*servable*:
 
-* :mod:`repro.service.store` — the on-disk, content-addressed artifact
-  store (now :class:`repro.storage.DiskTier` behind a compat face)
-  that survives process restarts: a cold start with a warm store skips
-  the whole parse→fuse→emit pipeline, and the HTTP server's
-  ``/artifact`` endpoint serves it to other hosts as a
-  :class:`repro.storage.PeerTier`.
 * :mod:`repro.service.batching` — execution requests, grouping by
   compiled artifact, and forest sharding.
 * :mod:`repro.service.executor` — a batch executor that runs sharded
@@ -19,8 +14,6 @@ this package makes them *servable*:
 """
 
 _EXPORTS = {
-    "ArtifactStore": "repro.service.store",
-    "store_for": "repro.service.store",
     "ExecRequest": "repro.service.batching",
     "RequestGroup": "repro.service.batching",
     "TreeResult": "repro.service.batching",
@@ -36,10 +29,9 @@ __all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):
-    # lazy exports (PEP 562): the pipeline consults the store on every
-    # cache_dir compile, and importing the whole executor/api stack
-    # (concurrent.futures, http.server) there would charge ~50 ms of
-    # module imports to a warm-store load that otherwise costs ~2 ms
+    # lazy exports (PEP 562): importing the whole executor/api stack
+    # (concurrent.futures, http.server) eagerly would charge ~50 ms of
+    # module imports to anything that only needs one submodule
     if name in _EXPORTS:
         import importlib
 

@@ -74,9 +74,9 @@ from repro.pipeline import GLOBAL_CACHE, CompileOptions
 from repro.pipeline import compile as pipeline_compile
 from repro.service.batching import ExecRequest
 from repro.service.executor import BatchExecutor, RequestResult
-from repro.service.store import store_for
 from repro.storage import (
     TieredStore,
+    disk_tier_for,
     is_content_hash,
     is_safe_pass_name,
     peer_tier_for,
@@ -222,7 +222,7 @@ class TraversalService:
         self.cache_dir = cache_dir
         self.peers = tuple(peers)
         self.layout = layout
-        self.store = store_for(cache_dir) if cache_dir else None
+        self.store = disk_tier_for(cache_dir) if cache_dir else None
         # the service's storage stack: the process memory tier, its
         # store (when persistent), and any read-only peers — what /gc
         # sweeps and the tier-labelled half of /stats reports
@@ -541,6 +541,11 @@ class TraversalService:
 # ===========================================================================
 
 
+#: Largest POST body the server reads. Every route's JSON body is a
+#: few hundred bytes; anything past this is refused (413) unread.
+MAX_BODY_BYTES = 1024 * 1024
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: TraversalService  # set by make_server
 
@@ -571,6 +576,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def log_message(self, *args) -> None:  # quiet by default
         pass
+
+    def _content_length(self) -> Optional[int]:
+        """The request's ``Content-Length``, checked before any read;
+        ``None`` after replying 400 (negative or not an integer — a
+        negative length would block ``rfile.read(-1)`` until the client
+        hangs up) or 413 (over :data:`MAX_BODY_BYTES`)."""
+        header = self.headers.get("Content-Length")
+        try:
+            length = int(header or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._reply(400, {"error": f"bad Content-Length {header!r}"})
+            return None
+        if length > MAX_BODY_BYTES:
+            self._reply(
+                413, {"error": f"body over {MAX_BODY_BYTES} bytes"}
+            )
+            return None
+        return length
 
     # -- routes ---------------------------------------------------------
 
@@ -615,6 +640,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"no route {self.path!r}"})
 
     def do_POST(self) -> None:
+        self._length = self._content_length()
+        if self._length is None:
+            return
         if self.path == "/compact":
             self._reply(200, self.service.compact_store())
             return
@@ -676,8 +704,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        return json.loads(self.rfile.read(length) or b"{}")
+        return json.loads(self.rfile.read(self._length) or b"{}")
 
 
 def make_server(

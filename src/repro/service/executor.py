@@ -45,7 +45,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from repro import obs
-from repro._compat import suppress_legacy_warnings
 from repro.pipeline import compile as pipeline_compile
 from repro.runtime import Heap
 from repro.runtime.stats import LatencySeries
@@ -119,12 +118,8 @@ def _execute_shard(
             if request.mode == "interpret":
                 out = _interpret_trees(request, indexes)
             else:
-                with suppress_legacy_warnings():
-                    result = pipeline_compile(
-                        request.source,
-                        options=request.options,
-                        pure_impls=request.pure_impls,
-                    )
+                workload = request.workload
+                result = pipeline_compile(workload, options=request.options)
                 program = result.program
                 compiled = (
                     result.compiled_fused
@@ -136,17 +131,13 @@ def _execute_shard(
                 for index in indexes:
                     start = time.perf_counter()
                     heap = Heap(program)
-                    root = request.build_tree(
+                    root = workload.build_tree(
                         program, heap, request.trees[index]
                     )
                     if request.fused:
-                        compiled.run_fused(
-                            heap, root, request.globals_map
-                        )
+                        compiled.run_fused(heap, root, workload.globals_map)
                     else:
-                        compiled.run_entry(
-                            heap, root, request.globals_map
-                        )
+                        compiled.run_entry(heap, root, workload.globals_map)
                     summary = collect(program, heap, root)
                     out.append(
                         TreeResult(
@@ -159,6 +150,19 @@ def _execute_shard(
     return ShardRun(trees=out, spans=bucket)
 
 
+def _resolve(request: ExecRequest):
+    """Parse (never compile) an interpret-mode request's program."""
+    from repro.interp import resolve_program
+
+    workload = request.workload
+    return resolve_program(
+        workload.source,
+        name=f"req-{request.request_id}",
+        pure_impls=dict(workload.pure_impls or {}) or None,
+        mode=request.options.language_mode,
+    )
+
+
 def _interpret_trees(
     request: ExecRequest, indexes: list[int]
 ) -> list[TreeResult]:
@@ -168,22 +172,18 @@ def _interpret_trees(
     ``collect`` on the same post-run heap/root — so callers can't tell
     the tiers apart except by latency. Module-level and closure-free so
     the process backend can pickle its way here too."""
-    from repro.interp import InterpretedModule, resolve_program
+    from repro.interp import InterpretedModule
 
-    program = resolve_program(
-        request.source,
-        name=f"req-{request.request_id}",
-        pure_impls=request.pure_impls,
-        mode=request.options.language_mode,
-    )
+    workload = request.workload
+    program = _resolve(request)
     module = InterpretedModule(program, layout=request.options.layout)
     collect = request.collect or default_collect
     out: list[TreeResult] = []
     for index in indexes:
         start = time.perf_counter()
         heap = Heap(program)
-        root = request.build_tree(program, heap, request.trees[index])
-        module.run_entry(heap, root, request.globals_map)
+        root = workload.build_tree(program, heap, request.trees[index])
+        module.run_entry(heap, root, workload.globals_map)
         summary = collect(program, heap, root)
         out.append(
             TreeResult(
@@ -380,25 +380,15 @@ class BatchExecutor:
             try:
                 compile_start = time.perf_counter()
                 if first.mode == "interpret":
-                    from repro.interp import resolve_program
-
-                    resolve_program(
-                        first.source,
-                        name=f"req-{first.request_id}",
-                        pure_impls=first.pure_impls,
-                        mode=first.options.language_mode,
-                    )
+                    _resolve(first)
                     metrics.compile_seconds = (
                         time.perf_counter() - compile_start
                     )
                     gspan.set(mode="interpret")
                 else:
-                    with suppress_legacy_warnings():
-                        resolved = pipeline_compile(
-                            first.source,
-                            options=first.options,
-                            pure_impls=first.pure_impls,
-                        )
+                    resolved = pipeline_compile(
+                        first.workload, options=first.options
+                    )
                     metrics.compile_seconds = (
                         time.perf_counter() - compile_start
                     )
@@ -497,13 +487,9 @@ class BatchExecutor:
             # executor default only fills the options default
             patches["layout"] = self.layout
         if patches:
-            # dataclasses.replace re-runs __post_init__; this is the
-            # executor's own copy, not a user construction
-            with suppress_legacy_warnings():
-                return replace(
-                    request,
-                    options=replace(request.options, **patches),
-                )
+            return replace(
+                request, options=replace(request.options, **patches)
+            )
         return request
 
     # -- async API ------------------------------------------------------

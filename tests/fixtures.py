@@ -120,3 +120,18 @@ def fig2_program():
 
 def fig1_program():
     return parse_program(FIG1_SOURCE, name="fig1")
+
+
+def _no_trees(program, heap, spec):  # pragma: no cover - compile-only
+    raise AssertionError("this workload is only ever compiled")
+
+
+def source_workload(source, pure_impls=None):
+    """Source text bound to pure impls, the way ``pipeline.compile``
+    takes them: as a Workload. For tests that compile but never build
+    trees."""
+    from repro.api.workload import Workload
+
+    return Workload.from_source(
+        "program", source, _no_trees, pure_impls=pure_impls
+    )

@@ -2,7 +2,7 @@
 type-specific dispatch, cutoffs."""
 
 from repro.frontend import parse_program
-from repro.fusion import FusionEngine, FusionLimits, fuse_program
+from repro.fusion import FusionLimits, fuse_program
 from repro.fusion.fused_ir import GroupCall, GuardedStmt, print_fused_unit
 
 from tests.fixtures import fig1_program, fig2_program
@@ -35,8 +35,7 @@ class TestFig1Fusion:
         assert member_order == sorted(member_order)
 
     def test_memoization_shares_units(self):
-        engine = FusionEngine(fig1_program())
-        fused = engine.fuse_program()
+        fused = fuse_program(fig1_program())
         # Node::f3/Node::f4 (empty bodies, reached from dispatch on Leaf
         # and on Node) must be one unit, not two
         empty_keys = [k for k in fused.units if k == ("Node::f3", "Node::f4")]

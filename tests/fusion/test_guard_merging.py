@@ -3,7 +3,7 @@ member/method collapse into a single fused-call slot."""
 
 from repro.frontend import parse_program
 from repro.fusion import fuse_program
-from repro.fusion.engine import _guards_exclusive, _tag_test_atoms
+from repro.pipeline.stages import _guards_exclusive, _tag_test_atoms
 from repro.fusion.fused_ir import GroupCall
 from repro.ir.access import AccessPath, Step
 from repro.ir.exprs import BinOp, Const, DataAccess, UnaryOp

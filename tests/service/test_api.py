@@ -1,5 +1,6 @@
 """Service facade and HTTP front end."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -8,6 +9,7 @@ import urllib.request
 import pytest
 
 from repro.service.api import (
+    MAX_BODY_BYTES,
     WORKLOADS,
     TraversalService,
     make_server,
@@ -55,6 +57,7 @@ class TestFacade:
 
 class _Client:
     def __init__(self, port):
+        self.port = port
         self.base = f"http://127.0.0.1:{port}"
 
     def get(self, path):
@@ -78,6 +81,21 @@ class _Client:
                 return resp.status, json.loads(resp.read())
         except urllib.error.HTTPError as error:
             return error.code, json.loads(error.read())
+
+    def post_headers_only(self, path, content_length):
+        """POST with a hand-set ``Content-Length`` and no body: the
+        server must answer from the header alone."""
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", self.port, timeout=10
+        )
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Content-Length", content_length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            return resp.status, json.loads(resp.read())
+        finally:
+            conn.close()
 
 
 @pytest.fixture()
@@ -133,6 +151,38 @@ class TestHTTP:
     def test_bad_result_id_is_400(self, http_service):
         status, _ = http_service.get("/result/xyz")
         assert status == 400
+
+
+class TestHostileContentLength:
+    """A POST's ``Content-Length`` is checked before the body is read."""
+
+    @pytest.mark.parametrize("path", ["/submit", "/gc", "/recompile"])
+    def test_negative_length_is_400(self, http_service, path):
+        # read(-1) would block the handler until the client hung up
+        status, body = http_service.post_headers_only(path, "-1")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_non_integer_length_is_400(self, http_service):
+        status, body = http_service.post_headers_only("/submit", "ten")
+        assert status == 400
+        assert "'ten'" in body["error"]
+
+    def test_oversized_length_is_413_unread(self, http_service):
+        status, body = http_service.post_headers_only(
+            "/submit", str(MAX_BODY_BYTES + 1)
+        )
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_server_keeps_serving_after_refusals(self, http_service):
+        http_service.post_headers_only("/submit", "-5")
+        http_service.post_headers_only("/gc", str(MAX_BODY_BYTES * 4))
+        status, submitted = http_service.post(
+            "/submit", {"workload": "render", "trees": 1, "pages": 1}
+        )
+        assert status == 200
+        assert "request_id" in submitted
 
 
 class TestTicketRetention:

@@ -1,5 +1,8 @@
 """Request grouping by compiled artifact and forest sharding."""
 
+import pytest
+
+from repro.api.workload import Workload
 from repro.pipeline import CompileOptions
 from repro.service.batching import (
     ExecRequest,
@@ -15,13 +18,11 @@ def _noop_build(program, heap, spec):  # pragma: no cover - never run here
     raise AssertionError("batching tests do not execute trees")
 
 
-def request(source=FIG2_SOURCE, trees=4, **kw):
-    return ExecRequest(
-        source=source,
-        trees=list(range(trees)),
-        build_tree=_noop_build,
-        **kw,
+def request(source=FIG2_SOURCE, trees=4, pure_impls=None, **kw):
+    workload = Workload.from_source(
+        "batching", source, _noop_build, pure_impls=pure_impls
     )
+    return ExecRequest.from_workload(workload, list(range(trees)), **kw)
 
 
 class TestGrouping:
@@ -63,6 +64,16 @@ class TestGrouping:
     def test_request_ids_are_unique(self):
         ids = {request().request_id for _ in range(10)}
         assert len(ids) == 10
+
+
+class TestConstruction:
+    def test_missing_workload_raises_type_error(self):
+        with pytest.raises(TypeError):
+            ExecRequest(trees=[])
+
+    def test_unknown_mode_raises_value_error(self):
+        with pytest.raises(ValueError, match="unknown execution mode"):
+            request(mode="jit")
 
 
 class TestSharding:

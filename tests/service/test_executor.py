@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api.workload import Workload
 from repro.service.batching import ExecRequest
 from repro.service.executor import BatchExecutor
-
+from repro.storage import disk_tier_for
 from repro.workloads.render import (
     DEFAULT_GLOBALS,
     RENDER_PURE_IMPLS,
@@ -14,13 +15,20 @@ from repro.workloads.render import (
 )
 
 
-def render_request(trees=6, pages=2, source=RENDER_SOURCE, **kw):
-    return ExecRequest(
-        source=source,
-        trees=[replicated_pages_spec(pages) for _ in range(trees)],
-        build_tree=build_document,
-        globals_map=dict(DEFAULT_GLOBALS),
+def render_text(source=RENDER_SOURCE, build_tree=build_document):
+    return Workload.from_source(
+        "render",
+        source,
+        build_tree,
         pure_impls=RENDER_PURE_IMPLS,
+        globals_map=DEFAULT_GLOBALS,
+    )
+
+
+def render_request(trees=6, pages=2, source=RENDER_SOURCE, **kw):
+    return ExecRequest.from_workload(
+        render_text(source),
+        [replicated_pages_spec(pages) for _ in range(trees)],
         **kw,
     )
 
@@ -31,7 +39,7 @@ def reference_summaries(trees=6, pages=2):
     from repro.runtime import Heap
     from repro.service.batching import default_collect
 
-    result = pipeline_compile(RENDER_SOURCE, pure_impls=RENDER_PURE_IMPLS)
+    result = pipeline_compile(render_text())
     out = []
     for _ in range(trees):
         heap = Heap(result.program)
@@ -138,12 +146,8 @@ class TestErrorPaths:
         def explode(program, heap, spec):
             raise RuntimeError("boom")
 
-        bad = ExecRequest(
-            source=RENDER_SOURCE,
-            trees=[replicated_pages_spec(1)],
-            build_tree=explode,
-            globals_map=dict(DEFAULT_GLOBALS),
-            pure_impls=RENDER_PURE_IMPLS,
+        bad = ExecRequest.from_workload(
+            render_text(build_tree=explode), [replicated_pages_spec(1)]
         )
         good = render_request(trees=2)
         with BatchExecutor(workers=1, backend="inline") as executor:
@@ -162,18 +166,15 @@ class TestErrorPaths:
 
 class TestCacheDirFlows:
     def test_executor_cache_dir_applies_to_requests(self, tmp_path):
-        from repro.service.store import store_for
-
         with BatchExecutor(
             workers=1, backend="inline", cache_dir=str(tmp_path)
         ) as executor:
             [result] = executor.run([render_request(trees=1)])
         assert result.ok
-        assert len(store_for(str(tmp_path))) == 1
+        assert len(disk_tier_for(str(tmp_path))) == 1
 
     def test_request_cache_dir_wins_over_executor(self, tmp_path):
         from repro.pipeline import CompileOptions
-        from repro.service.store import store_for
 
         mine = tmp_path / "mine"
         other = tmp_path / "other"
@@ -185,8 +186,8 @@ class TestCacheDirFlows:
         ) as executor:
             [result] = executor.run([req])
         assert result.ok
-        assert len(store_for(str(mine))) == 1
-        assert len(store_for(str(other))) == 0
+        assert len(disk_tier_for(str(mine))) == 1
+        assert len(disk_tier_for(str(other))) == 0
 
 
 class TestLifecycleAndOptions:
